@@ -1,5 +1,10 @@
 GO ?= go
 
+# The smoke targets below run in ci to keep the benchmarks and the benchfmt
+# pipeline from bit-rotting. They write to a temp file (seeded with the
+# committed document when merging), so the committed BENCH_*.json files only
+# ever hold full runs.
+
 # The dispatch-heavy simulator scenarios, the event-engine micro-benchmarks
 # under them, and the harness grid benchmark; all feed the BENCH_sim.json
 # trajectory.
@@ -14,7 +19,7 @@ BENCH_ALLOC_PATTERN = 'BenchmarkCore|BenchmarkAlloc|BenchmarkSimPaperPool1k'
 # The streaming macro-scenarios: million-task Source-driven runs and the
 # capacity-index placement probes. Merged into BENCH_sim.json rather than
 # rewriting it, since the full Stream1M run takes about a minute.
-BENCH_STREAM_PKGS = ./internal/sim
+BENCH_STREAM_PKGS = ./internal/sim ./internal/dispatch
 BENCH_STREAM_PATTERN = 'BenchmarkStream|BenchmarkPlacementIndex'
 
 # The allocator-service throughput scenarios (sustained allocs/sec across
@@ -58,10 +63,10 @@ test:
 # The parallel experiment harness is the concurrency-heavy package; run it
 # (and the public facade that drives it) under the race detector, together
 # with the pooled event engine, the simulator that recycles its
-# slots/handles (harness workers run simulations concurrently), and the
-# runlog package whose Writer is shared across engine and tracer goroutines.
+# slots/handles (harness workers run simulations concurrently) with its
+# dispatch core, and the runlog package whose Writer is shared across engine and tracer goroutines.
 race:
-	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/serve/... ./internal/runlog/... . -count=1
+	$(GO) test -race ./internal/harness/... ./internal/devent/... ./internal/sim/... ./internal/dispatch/... ./internal/serve/... ./internal/runlog/... . -count=1
 
 # The live work-queue engine integration tests (heartbeat loss, bounded
 # retry, drain-under-load, ID-collision regressions) under the race detector.
@@ -80,10 +85,10 @@ short:
 bench:
 	$(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem | $(GO) run ./cmd/benchfmt -out BENCH_sim.json
 
-# One-iteration smoke of the same suite, wired into ci so the benchmarks
-# (and the benchfmt pipeline) cannot bit-rot unnoticed.
+# One-iteration smoke of the same suite.
 bench-smoke:
-	$(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out BENCH_sim.json
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out "$$tmp"
 
 # Full benchmark run of the allocation path: bucketing-core partitions
 # (cold and incremental), the allocator Allocate/Retry/Observe cycle per
@@ -91,9 +96,10 @@ bench-smoke:
 bench-alloc:
 	$(GO) test $(BENCH_ALLOC_PKGS) -run '^$$' -bench $(BENCH_ALLOC_PATTERN) -benchmem | $(GO) run ./cmd/benchfmt -out BENCH_alloc.json
 
-# One-iteration smoke of the allocation-path suite, wired into ci.
+# One-iteration smoke of the allocation-path suite.
 bench-alloc-smoke:
-	$(GO) test $(BENCH_ALLOC_PKGS) -run '^$$' -bench $(BENCH_ALLOC_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out BENCH_alloc.json
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test $(BENCH_ALLOC_PKGS) -run '^$$' -bench $(BENCH_ALLOC_PATTERN) -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -out "$$tmp"
 
 # Full streaming run: the 1M-task and 100k-task Source-driven scenarios plus
 # the 100k-worker placement-index probes, merged into BENCH_sim.json.
@@ -103,9 +109,10 @@ bench-stream:
 # ci smoke of the streaming path: the 100k-task scenario and the index
 # probes, with the allocs/op ceiling enforced so the window-bounded memory
 # contract cannot regress silently. (The capacity index's query correctness
-# runs under -race via the sim package in the race target.)
+# runs under -race via the dispatch package in the race target.)
 bench-stream-smoke:
-	$(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -merge -max-allocs $(STREAM_MAX_ALLOCS) -out BENCH_sim.json
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; cp BENCH_sim.json "$$tmp"; \
+	$(GO) test $(BENCH_STREAM_PKGS) -run '^$$' -bench 'BenchmarkStream100k|BenchmarkPlacementIndex' -benchmem -benchtime 1x | $(GO) run ./cmd/benchfmt -merge -max-allocs $(STREAM_MAX_ALLOCS) -out "$$tmp"
 
 # Full service benchmark: sustained allocation throughput against a live
 # server at 1, 8, and 16 concurrent tenants; records BENCH_serve.json.
@@ -119,7 +126,8 @@ serve-bench:
 # allocs/op — steady state is 0 allocs/op, so the tight ceiling needs the
 # setup noise below ~1/op (still tens of ms per scenario).
 serve-bench-smoke:
-	$(GO) test $(BENCH_SERVE_PKGS) -run '^$$' -bench $(BENCH_SERVE_PATTERN) -benchmem -benchtime 1000x | $(GO) run ./cmd/benchfmt -max-allocs $(SERVE_MAX_ALLOCS) -out BENCH_serve.json
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test $(BENCH_SERVE_PKGS) -run '^$$' -bench $(BENCH_SERVE_PATTERN) -benchmem -benchtime 1000x | $(GO) run ./cmd/benchfmt -max-allocs $(SERVE_MAX_ALLOCS) -out "$$tmp"
 
 # Full live-engine benchmark: sustained dispatch/result round trips through
 # the wq manager and workers over loopback transport, merged into
@@ -132,7 +140,8 @@ wq-bench:
 # enforced so the frame hot path cannot silently start allocating. 2000
 # iterations amortize the driver/executor goroutine spin-up below ~1/op.
 wq-bench-smoke:
-	$(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -merge -max-allocs $(WQ_MAX_ALLOCS) -out BENCH_wq.json
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; cp BENCH_wq.json "$$tmp"; \
+	$(GO) test $(BENCH_WQ_PKGS) -run '^$$' -bench $(BENCH_WQ_PATTERN) -benchmem -benchtime 2000x | $(GO) run ./cmd/benchfmt -merge -max-allocs $(WQ_MAX_ALLOCS) -out "$$tmp"
 
 # End-to-end smoke of the record -> replay -> what-if loop: record a small
 # DES run on a churny pool, verify the fidelity replay reproduces the

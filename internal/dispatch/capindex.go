@@ -1,4 +1,4 @@
-package sim
+package dispatch
 
 import (
 	"math"
@@ -12,13 +12,13 @@ import (
 // difference, so each bound carries slack of limit*pruneSlack (≈ 4.5 ulps)
 // to guarantee the index never prunes away a worker the exact comparison
 // would admit. False positives are harmless: the leaf re-checks with
-// simWorker.fits, the same comparison the linear scan used.
+// Worker.Fits, the same comparison the linear scan used.
 const pruneSlack = 1e-15
 
-// capIndex is a segment tree over worker slots (slot = arrival index, which
-// is also arrival order since pool schedules are time-sorted and same-time
-// arrivals fire in slot order). Each node aggregates, over the alive workers
-// in its subtree:
+// capIndex is a segment tree over worker slots. Pool hands out slots in join
+// order and re-slots the survivors in that same order when it rebuilds, so
+// ascending slot order is always join order. Each node aggregates, over the
+// alive workers in its subtree:
 //
 //   - hubC/hubM/hubD: an upper bound on per-kind headroom (limit - used,
 //     plus pruneSlack), so a subtree with hub < alloc on any kind cannot
@@ -27,8 +27,8 @@ const pruneSlack = 1e-15
 //     computed with the same expression the linear scan used), driving
 //     branch-and-bound for worst-fit and best-fit.
 //
-// Queries descend left-first, so ties resolve to the lowest slot — the same
-// worker the old linear scan over the arrival-ordered alive slice returned.
+// Queries descend left-first, so ties resolve to the lowest slot — the
+// earliest joiner, the worker a linear scan of the alive chain returns.
 // Updates on place/complete/arrive/evict are O(log W). First-fit probes are
 // O(log W) (one root-to-leaf descent with O(1) subtree rejections), and
 // worst-fit behaves the same in practice because smax steers the descent
@@ -37,13 +37,13 @@ const pruneSlack = 1e-15
 // workers it can degenerate toward the O(W) scan it replaced — but never
 // asymptotically worse, and the golden runs show typical pools prune well.
 type capIndex struct {
-	size int           // leaf count, a power of two; node k's children are 2k and 2k+1
-	ws   []*simWorker  // leaf slot -> alive worker, nil when dead or not yet arrived
-	hubC []float64     // headroom upper bound, cores
-	hubM []float64     // headroom upper bound, memory
-	hubD []float64     // headroom upper bound, disk
-	smax []float64     // max free-memory score in subtree (-Inf when empty)
-	smin []float64     // min free-memory score in subtree (+Inf when empty)
+	size int       // leaf count, a power of two; node k's children are 2k and 2k+1
+	ws   []*Worker // leaf slot -> alive worker, nil when free or vacated
+	hubC []float64 // headroom upper bound, cores
+	hubM []float64 // headroom upper bound, memory
+	hubD []float64 // headroom upper bound, disk
+	smax []float64 // max free-memory score in subtree (-Inf when empty)
+	smin []float64 // min free-memory score in subtree (+Inf when empty)
 }
 
 // newCapIndex builds an empty index with room for n worker slots.
@@ -54,7 +54,7 @@ func newCapIndex(n int) *capIndex {
 	}
 	ci := &capIndex{
 		size: size,
-		ws:   make([]*simWorker, size),
+		ws:   make([]*Worker, size),
 		hubC: make([]float64, 2*size),
 		hubM: make([]float64, 2*size),
 		hubD: make([]float64, 2*size),
@@ -69,11 +69,11 @@ func newCapIndex(n int) *capIndex {
 	return ci
 }
 
-// update refreshes slot after any change to the worker's used vector or
-// liveness; pass a nil or dead worker to clear the slot. Cost: O(log W).
-func (ci *capIndex) update(slot int, w *simWorker) {
+// update refreshes slot after any change to the worker's used vector; pass
+// nil to clear the slot. Cost: O(log W).
+func (ci *capIndex) update(slot int, w *Worker) {
 	k := ci.size + slot
-	if w == nil || !w.alive {
+	if w == nil {
 		ci.ws[slot] = nil
 		ci.hubC[k], ci.hubM[k], ci.hubD[k] = -1, -1, -1
 		ci.smax[k] = math.Inf(-1)
@@ -83,7 +83,7 @@ func (ci *capIndex) update(slot int, w *simWorker) {
 		ci.hubC[k] = w.limit[resources.Cores] - w.used[resources.Cores] + w.limit[resources.Cores]*pruneSlack
 		ci.hubM[k] = w.limit[resources.Memory] - w.used[resources.Memory] + w.limit[resources.Memory]*pruneSlack
 		ci.hubD[k] = w.limit[resources.Disk] - w.used[resources.Disk] + w.limit[resources.Disk]*pruneSlack
-		free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
+		free := w.Capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
 		ci.smax[k], ci.smin[k] = free, free
 	}
 	for k >>= 1; k >= 1; k >>= 1 {
@@ -106,18 +106,18 @@ func (ci *capIndex) admits(k int, alloc resources.Vector) bool {
 }
 
 // firstFit returns the lowest-slot alive worker that fits alloc, or nil.
-func (ci *capIndex) firstFit(alloc resources.Vector) *simWorker {
-	if !ci.admits(1, alloc) {
+func (ci *capIndex) firstFit(alloc resources.Vector) *Worker {
+	if ci == nil || !ci.admits(1, alloc) {
 		return nil
 	}
 	return ci.firstFitRec(1, alloc)
 }
 
-func (ci *capIndex) firstFitRec(k int, alloc resources.Vector) *simWorker {
+func (ci *capIndex) firstFitRec(k int, alloc resources.Vector) *Worker {
 	if k >= ci.size {
 		// Leaf: decide with the exact admission comparison; the bounds may
 		// have let a near-boundary non-fit through.
-		if w := ci.ws[k-ci.size]; w != nil && w.fits(alloc) {
+		if w := ci.ws[k-ci.size]; w != nil && w.Fits(alloc) {
 			return w
 		}
 		return nil
@@ -135,60 +135,46 @@ func (ci *capIndex) firstFitRec(k int, alloc resources.Vector) *simWorker {
 
 // worstFit returns the fitting worker with the most free memory (ties to
 // the lowest slot), or nil.
-func (ci *capIndex) worstFit(alloc resources.Vector) *simWorker {
-	w, _ := ci.worstFitRec(1, alloc, nil, 0)
+func (ci *capIndex) worstFit(alloc resources.Vector) *Worker { return ci.extremeFit(alloc, 1) }
+
+// bestFit returns the fitting worker with the least free memory (ties to
+// the lowest slot), or nil.
+func (ci *capIndex) bestFit(alloc resources.Vector) *Worker { return ci.extremeFit(alloc, -1) }
+
+// extremeFit returns the fitting worker with the highest score sign*free
+// memory (ties to the lowest slot), or nil. Negation is exact, so best-fit
+// as the maximum of -free makes the same comparisons as a minimum of free.
+func (ci *capIndex) extremeFit(alloc resources.Vector, sign float64) *Worker {
+	if ci == nil {
+		return nil
+	}
+	w, _ := ci.extremeFitRec(1, alloc, sign, nil, 0)
 	return w
 }
 
-func (ci *capIndex) worstFitRec(k int, alloc resources.Vector, best *simWorker, bestScore float64) (*simWorker, float64) {
+func (ci *capIndex) extremeFitRec(k int, alloc resources.Vector, sign float64, best *Worker, bestScore float64) (*Worker, float64) {
 	if !ci.admits(k, alloc) {
 		return best, bestScore
 	}
 	// Strict improvement only (matching the linear scan's tie-to-earliest),
-	// so a subtree whose score maximum does not exceed the incumbent is dead.
-	if best != nil && ci.smax[k] <= bestScore {
+	// so a subtree whose score bound does not exceed the incumbent is dead.
+	bound := ci.smax[k]
+	if sign < 0 {
+		bound = -ci.smin[k]
+	}
+	if best != nil && bound <= bestScore {
 		return best, bestScore
 	}
 	if k >= ci.size {
 		w := ci.ws[k-ci.size]
-		if w == nil || !w.fits(alloc) {
+		if w == nil || !w.Fits(alloc) {
 			return best, bestScore
 		}
-		free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
-		if best == nil || free > bestScore {
-			return w, free
+		if score := sign * (w.Capacity.Get(resources.Memory) - w.used.Get(resources.Memory)); best == nil || score > bestScore {
+			return w, score
 		}
 		return best, bestScore
 	}
-	best, bestScore = ci.worstFitRec(2*k, alloc, best, bestScore)
-	return ci.worstFitRec(2*k+1, alloc, best, bestScore)
-}
-
-// bestFit returns the fitting worker with the least free memory (ties to
-// the lowest slot), or nil.
-func (ci *capIndex) bestFit(alloc resources.Vector) *simWorker {
-	w, _ := ci.bestFitRec(1, alloc, nil, 0)
-	return w
-}
-
-func (ci *capIndex) bestFitRec(k int, alloc resources.Vector, best *simWorker, bestScore float64) (*simWorker, float64) {
-	if !ci.admits(k, alloc) {
-		return best, bestScore
-	}
-	if best != nil && ci.smin[k] >= bestScore {
-		return best, bestScore
-	}
-	if k >= ci.size {
-		w := ci.ws[k-ci.size]
-		if w == nil || !w.fits(alloc) {
-			return best, bestScore
-		}
-		free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
-		if best == nil || free < bestScore {
-			return w, free
-		}
-		return best, bestScore
-	}
-	best, bestScore = ci.bestFitRec(2*k, alloc, best, bestScore)
-	return ci.bestFitRec(2*k+1, alloc, best, bestScore)
+	best, bestScore = ci.extremeFitRec(2*k, alloc, sign, best, bestScore)
+	return ci.extremeFitRec(2*k+1, alloc, sign, best, bestScore)
 }

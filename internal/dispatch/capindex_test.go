@@ -1,4 +1,4 @@
-package sim
+package dispatch
 
 import (
 	"math/rand/v2"
@@ -11,7 +11,7 @@ import (
 // O(log W) placement path: under an arbitrary churn of arrivals, evictions,
 // placements, and completions, every first/worst/best-fit query on the
 // capacity index must return exactly the worker the reference linear scan
-// (Placement.pickLinear over the arrival-ordered alive slice) returns —
+// (pickLinear over the join-ordered alive slice) returns —
 // same pointer, including nil, including ties.
 func TestCapIndexMatchesLinearScan(t *testing.T) {
 	const slots = 60
@@ -19,8 +19,8 @@ func TestCapIndexMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 17))
 
 	ci := newCapIndex(slots)
-	var alive []*simWorker // arrival order == ascending id
-	byID := make([]*simWorker, slots)
+	var alive []*Worker // join order == ascending id
+	byID := make([]*Worker, slots)
 	nextID := 0
 
 	randAlloc := func() resources.Vector {
@@ -37,14 +37,14 @@ func TestCapIndexMatchesLinearScan(t *testing.T) {
 	check := func(step int) {
 		alloc := randAlloc()
 		for _, tc := range []struct {
-			place Placement
-			got   *simWorker
+			place placement
+			got   *Worker
 		}{
-			{FirstFit, ci.firstFit(alloc)},
-			{WorstFit, ci.worstFit(alloc)},
-			{BestFit, ci.bestFit(alloc)},
+			{firstFit, ci.firstFit(alloc)},
+			{worstFit, ci.worstFit(alloc)},
+			{bestFit, ci.bestFit(alloc)},
 		} {
-			want := tc.place.pickLinear(alive, alloc, nil, 0)
+			want := pickLinear(tc.place, alive, alloc)
 			if tc.got != want {
 				t.Fatalf("step %d: %s diverged for alloc %v: index=%v linear=%v",
 					step, tc.place, alloc, workerID(tc.got), workerID(want))
@@ -55,7 +55,7 @@ func TestCapIndexMatchesLinearScan(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		switch op := r.IntN(10); {
 		case op < 3 && nextID < slots: // arrival
-			w := newSimWorker(nextID, shape)
+			w := newWorker(nextID, shape)
 			byID[nextID] = w
 			alive = append(alive, w)
 			ci.update(nextID, w)
@@ -65,28 +65,28 @@ func TestCapIndexMatchesLinearScan(t *testing.T) {
 			w := alive[i]
 			w.alive = false
 			w.used = resources.Vector{}
-			byID[w.id] = nil
+			byID[w.ID] = nil
 			alive = append(alive[:i], alive[i+1:]...)
-			ci.update(w.id, nil)
+			ci.update(w.ID, nil)
 		case len(alive) > 0: // place or complete on a random worker
 			w := alive[r.IntN(len(alive))]
 			alloc := randAlloc()
-			if r.IntN(2) == 0 && w.fits(alloc) {
+			if r.IntN(2) == 0 && w.Fits(alloc) {
 				w.used = w.used.Add(alloc.With(resources.Time, 0))
 			} else {
 				w.used = resources.Vector{} // drain the worker
 			}
-			ci.update(w.id, w)
+			ci.update(w.ID, w)
 		}
 		check(step)
 	}
 }
 
-func workerID(w *simWorker) int {
+func workerID(w *Worker) int {
 	if w == nil {
 		return -1
 	}
-	return w.id
+	return w.ID
 }
 
 // TestCapIndexBoundaryAllocations drives allocations right at the slack
@@ -95,9 +95,9 @@ func workerID(w *simWorker) int {
 func TestCapIndexBoundaryAllocations(t *testing.T) {
 	shape := resources.New(16, 64000, 64000, resources.Unlimited)
 	ci := newCapIndex(4)
-	var alive []*simWorker
+	var alive []*Worker
 	for i := 0; i < 4; i++ {
-		w := newSimWorker(i, shape)
+		w := newWorker(i, shape)
 		alive = append(alive, w)
 		ci.update(i, w)
 	}
@@ -105,7 +105,7 @@ func TestCapIndexBoundaryAllocations(t *testing.T) {
 	// (the admission limit), worker 2 just beyond it.
 	alive[0].used = shape.With(resources.Time, 0)
 	alive[1].used = alive[1].limit.With(resources.Time, 0)
-	alive[2].used = alive[2].limit.Scale(1 + 1e-9).With(resources.Time, 0)
+	alive[2].used = alive[2].limit.Scale(1+1e-9).With(resources.Time, 0)
 	for i := 0; i < 3; i++ {
 		ci.update(i, alive[i])
 	}
@@ -115,13 +115,13 @@ func TestCapIndexBoundaryAllocations(t *testing.T) {
 		resources.New(0.5, 2000, 2000, resources.Unlimited),
 		shape.With(resources.Time, resources.Unlimited),
 	} {
-		if got, want := ci.firstFit(alloc), FirstFit.pickLinear(alive, alloc, nil, 0); got != want {
+		if got, want := ci.firstFit(alloc), pickLinear(firstFit, alive, alloc); got != want {
 			t.Errorf("first-fit(%v): index=%d linear=%d", alloc, workerID(got), workerID(want))
 		}
-		if got, want := ci.worstFit(alloc), WorstFit.pickLinear(alive, alloc, nil, 0); got != want {
+		if got, want := ci.worstFit(alloc), pickLinear(worstFit, alive, alloc); got != want {
 			t.Errorf("worst-fit(%v): index=%d linear=%d", alloc, workerID(got), workerID(want))
 		}
-		if got, want := ci.bestFit(alloc), BestFit.pickLinear(alive, alloc, nil, 0); got != want {
+		if got, want := ci.bestFit(alloc), pickLinear(bestFit, alive, alloc); got != want {
 			t.Errorf("best-fit(%v): index=%d linear=%d", alloc, workerID(got), workerID(want))
 		}
 	}

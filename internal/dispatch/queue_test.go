@@ -1,11 +1,11 @@
-package sim
+package dispatch
 
 import (
 	"math/rand/v2"
 	"testing"
 )
 
-func queueContents(q *taskQueue) []int {
+func queueContents(q *Queue) []int {
 	out := make([]int, 0, q.Len())
 	for i := 0; i < q.Len(); i++ {
 		out = append(out, q.At(i))
@@ -26,7 +26,7 @@ func equalInts(a, b []int) bool {
 }
 
 func TestTaskQueueBasics(t *testing.T) {
-	var q taskQueue
+	var q Queue
 	if q.Len() != 0 {
 		t.Fatal("zero value not empty")
 	}
@@ -55,7 +55,7 @@ func TestTaskQueueBasics(t *testing.T) {
 }
 
 func TestTaskQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
-	var q taskQueue
+	var q Queue
 	q.PushBack(10)
 	q.PushBack(11)
 	q.PushFrontAll([]int{1, 2, 3})
@@ -75,7 +75,7 @@ func TestTaskQueuePushFrontAllKeepsBlockOrder(t *testing.T) {
 }
 
 func TestTaskQueuePanics(t *testing.T) {
-	var q taskQueue
+	var q Queue
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -95,7 +95,7 @@ func TestTaskQueuePanics(t *testing.T) {
 // every step.
 func TestTaskQueueMatchesSlice(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
-	var q taskQueue
+	var q Queue
 	var model []int
 	next := 0
 	for step := 0; step < 5000; step++ {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"dynalloc/internal/names"
-	"dynalloc/internal/resources"
-	"dynalloc/internal/vine"
 )
 
 // Placement selects which worker a dispatchable task lands on. The paper's
@@ -61,43 +59,4 @@ var ErrUnknownPlacement = errors.New("sim: unknown placement policy")
 // ErrUnknownPlacement and lists the valid names.
 func ParsePlacement(s string) (Placement, error) {
 	return names.Parse(s, Placements(), Placement.String, ErrUnknownPlacement)
-}
-
-// pickLinear returns the chosen worker among those that fit, or nil, by a
-// linear scan over workers in slice order. It is the reference semantics
-// for the capacity-indexed path (simulator.pickWorker): the property tests
-// assert that capIndex queries return exactly the worker this scan picks.
-// workers holds only alive workers; data and taskID feed the Locality
-// policy and may be nil/zero for the others.
-func (p Placement) pickLinear(workers []*simWorker, alloc resources.Vector, data *vine.Layer, taskID int) *simWorker {
-	var chosen *simWorker
-	var chosenScore float64
-	for _, w := range workers {
-		if !w.fits(alloc) {
-			continue
-		}
-		switch p {
-		case FirstFit:
-			return w
-		case WorstFit:
-			free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
-			if chosen == nil || free > chosenScore {
-				chosen, chosenScore = w, free
-			}
-		case BestFit:
-			free := w.capacity.Get(resources.Memory) - w.used.Get(resources.Memory)
-			if chosen == nil || free < chosenScore {
-				chosen, chosenScore = w, free
-			}
-		case Locality:
-			score := 0.0
-			if data != nil {
-				score = data.CachedMB(w.id, taskID)
-			}
-			if chosen == nil || score > chosenScore {
-				chosen, chosenScore = w, score
-			}
-		}
-	}
-	return chosen
 }

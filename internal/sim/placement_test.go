@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynalloc/internal/allocator"
+	"dynalloc/internal/dispatch"
 	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/workflow"
@@ -27,9 +28,12 @@ func TestPlacementParseRoundTrip(t *testing.T) {
 
 func TestPickPolicies(t *testing.T) {
 	shape := resources.New(16, 64*1024, 64*1024, resources.Unlimited)
+	s := &simulator{}
 	mkWorker := func(id int, usedMem float64) *simWorker {
-		w := newSimWorker(id, shape)
-		w.used = resources.New(0, usedMem, 0, 0)
+		w := &simWorker{Worker: dispatch.Worker{ID: id, Capacity: shape}}
+		s.pool.Join(&w.Worker)
+		s.pool.Hold(&w.Worker, resources.New(0, usedMem, 0, 0))
+		s.byID = append(s.byID, w)
 		return w
 	}
 	workers := []*simWorker{
@@ -38,26 +42,31 @@ func TestPickPolicies(t *testing.T) {
 		mkWorker(2, 1000),  // nearly empty
 	}
 	alloc := resources.New(1, 2000, 100, resources.Unlimited)
+	pick := func(p Placement, alloc resources.Vector) *simWorker {
+		s.cfg.Place = p
+		return s.pickWorker(alloc, 0)
+	}
 
-	if w := FirstFit.pickLinear(workers, alloc, nil, 0); w.id != 0 {
-		t.Errorf("first-fit chose %d, want 0", w.id)
+	if w := pick(FirstFit, alloc); w.ID != 0 {
+		t.Errorf("first-fit chose %d, want 0", w.ID)
 	}
-	if w := WorstFit.pickLinear(workers, alloc, nil, 0); w.id != 2 {
-		t.Errorf("worst-fit chose %d, want 2 (most free memory)", w.id)
+	if w := pick(WorstFit, alloc); w.ID != 2 {
+		t.Errorf("worst-fit chose %d, want 2 (most free memory)", w.ID)
 	}
-	if w := BestFit.pickLinear(workers, alloc, nil, 0); w.id != 1 {
-		t.Errorf("best-fit chose %d, want 1 (tightest fit)", w.id)
+	if w := pick(BestFit, alloc); w.ID != 1 {
+		t.Errorf("best-fit chose %d, want 1 (tightest fit)", w.ID)
 	}
 
 	// Nothing fits: nil.
 	huge := resources.New(1, 65000, 100, resources.Unlimited)
-	if w := BestFit.pickLinear(workers, huge, nil, 0); w != nil {
-		t.Errorf("impossible allocation placed on %d", w.id)
+	if w := pick(BestFit, huge); w != nil {
+		t.Errorf("impossible allocation placed on %d", w.ID)
 	}
 	// Evicted workers leave the scan set entirely (the simulator removes
-	// them from the alive index), so pick never sees them.
-	if w := WorstFit.pickLinear(workers[:2], alloc, nil, 0); w.id != 0 {
-		t.Errorf("worst-fit with evicted worker chose %d, want 0", w.id)
+	// them from the alive pool), so pick never sees them.
+	s.pool.Leave(&workers[2].Worker)
+	if w := pick(WorstFit, alloc); w.ID != 0 {
+		t.Errorf("worst-fit with evicted worker chose %d, want 0", w.ID)
 	}
 }
 

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
+	"dynalloc/internal/dispatch"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/workflow"
@@ -25,29 +27,30 @@ func TestEvictionRequeueAscendingBlock(t *testing.T) {
 	}
 	s.generated = 12
 	s.futureArrivals = 1 // a worker is still due, so dispatch won't declare the queue stranded
-	s.capIdx = newCapIndex(1)
 
-	w := newSimWorker(0, resources.PaperWorker())
+	w := &simWorker{
+		Worker:  dispatch.Worker{ID: 0, Capacity: resources.PaperWorker()},
+		running: make(map[int]runningTask),
+	}
+	s.pool.Join(&w.Worker)
 	for _, idx := range []int{9, 3, 5} { // deliberately unsorted
 		s.store.get(idx).hasAlloc = true
 		w.running[idx] = runningTask{endEv: s.engine.After(100, func() {})}
 	}
-	s.aliveHead, s.aliveTail, s.alive = w, w, 1
 	s.byID = []*simWorker{w}
-	s.capIdx.update(0, w)
 	s.ready.PushBack(11) // already waiting before the eviction
 
-	s.onEviction(w.id)
+	s.onEviction(w.ID)
 
 	if s.err != nil {
 		t.Fatal(s.err)
 	}
 	want := []int{3, 5, 9, 11}
-	if got := queueContents(&s.ready); !equalInts(got, want) {
+	if got := queueContents(&s.ready); !slices.Equal(got, want) {
 		t.Errorf("ready queue after eviction = %v, want %v", got, want)
 	}
-	if s.alive != 0 || s.aliveHead != nil || s.aliveTail != nil {
-		t.Errorf("evicted worker still in the alive chain (%d workers)", s.alive)
+	if s.pool.Len() != 0 || s.pool.Front() != nil {
+		t.Errorf("evicted worker still in the alive chain (%d workers)", s.pool.Len())
 	}
 	if s.evictions != 1 {
 		t.Errorf("evictions = %d, want 1", s.evictions)
@@ -58,4 +61,12 @@ func TestEvictionRequeueAscendingBlock(t *testing.T) {
 			t.Errorf("task %d attempts = %+v, want one evicted attempt", idx, a)
 		}
 	}
+}
+
+func queueContents(q *dispatch.Queue) []int {
+	out := make([]int, 0, q.Len())
+	for i := 0; i < q.Len(); i++ {
+		out = append(out, q.At(i))
+	}
+	return out
 }

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"dynalloc/internal/allocator"
 	"dynalloc/internal/devent"
+	"dynalloc/internal/dispatch"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/opportunistic"
 	"dynalloc/internal/resources"
@@ -26,13 +26,6 @@ var ErrCanceled = errors.New("sim: run canceled")
 // stdlib context types); checking every 64th event keeps cancellation
 // latency well under a millisecond of wall time at negligible cost.
 const ctxCheckInterval = 64
-
-// capacitySlack is the relative tolerance applied to worker capacity when
-// deciding whether an allocation fits. Admission (simWorker.fits) and the
-// over-pack invariant check (simulator.place) share this one constant so
-// they can never disagree: an allocation admitted at capacity*(1+slack)
-// is, by the same comparison, never reported as over-packing.
-const capacitySlack = 1e-9
 
 // DefaultMaxAttempts bounds the retry chain of a single task. With doubling
 // escalation a task reaches worker capacity from the 1-unit floor in well
@@ -161,43 +154,8 @@ type runningTask struct {
 }
 
 type simWorker struct {
-	id       int
-	capacity resources.Vector
-	// limit is capacity scaled by (1 + capacitySlack), precomputed once at
-	// arrival so admission is three comparisons instead of re-deriving the
-	// slack product per kind on every fits probe.
-	limit   resources.Vector
-	used    resources.Vector
+	dispatch.Worker
 	running map[int]runningTask
-	alive   bool
-	// prev/next link the alive list in ascending-id (= arrival) order;
-	// eviction unlinks in O(1) instead of splicing a slice.
-	prev, next *simWorker
-}
-
-// newSimWorker builds an alive worker of the given shape with its admission
-// limits precomputed.
-func newSimWorker(id int, shape resources.Vector) *simWorker {
-	w := &simWorker{
-		id:       id,
-		capacity: shape,
-		running:  make(map[int]runningTask),
-		alive:    true,
-	}
-	for k := range shape {
-		w.limit[k] = shape[k] * (1 + capacitySlack)
-	}
-	return w
-}
-
-// fits reports whether alloc fits into the worker's free capacity. The
-// comparisons are bit-identical to `used+alloc > capacity*(1+capacitySlack)`
-// with the product precomputed, and unrolled over the allocated kinds so
-// the hot path performs no slice allocation.
-func (w *simWorker) fits(alloc resources.Vector) bool {
-	return w.used[resources.Cores]+alloc[resources.Cores] <= w.limit[resources.Cores] &&
-		w.used[resources.Memory]+alloc[resources.Memory] <= w.limit[resources.Memory] &&
-		w.used[resources.Disk]+alloc[resources.Disk] <= w.limit[resources.Disk]
 }
 
 // unreleased marks simulator.released when no barrier gates task
@@ -209,14 +167,11 @@ type simulator struct {
 	src      workflow.Source
 	engine   devent.Engine
 	store    taskStore               // in-flight window of per-task state, keyed by task index
-	ready    taskQueue               // task indices awaiting placement, in dispatch priority order
+	ready    dispatch.Queue          // task indices awaiting placement, in dispatch priority order
 	arrivals []opportunistic.Arrival // pool schedule, indexed by worker id
-	capIdx   *capIndex               // capacity index over worker slots for O(log W) placement
-	// aliveHead/aliveTail chain alive workers in arrival (ascending-id)
-	// order; the Locality placement scans the chain and eviction unlinks
-	// in O(1).
-	aliveHead, aliveTail *simWorker
-	alive                int
+	// pool holds the alive workers in arrival (ascending-id) order with
+	// their capacity index; the Locality placement scans its chain.
+	pool dispatch.Pool
 	// byID resolves the worker id carried in event payloads; evicted slots
 	// are nilled so the worker can be collected.
 	byID    []*simWorker
@@ -280,7 +235,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	s.arrivals = arrivals
 	s.byID = make([]*simWorker, len(arrivals))
-	s.capIdx = newCapIndex(len(arrivals))
 	s.futureArrivals = len(arrivals)
 	s.engine.SetHandler(s.handleEvent)
 	// Bulk-load the whole arrival schedule: one O(n) heapify instead of n
@@ -347,23 +301,16 @@ func (s *simulator) onArrival(id int) {
 	if s.err != nil {
 		return
 	}
-	w := newSimWorker(id, s.cfg.WorkerShape)
+	w := &simWorker{
+		Worker:  dispatch.Worker{ID: id, Capacity: s.cfg.WorkerShape},
+		running: make(map[int]runningTask),
+	}
 	s.byID[id] = w
-	// Append to the alive-list tail: ids arrive in ascending order (pool
-	// schedules are time-sorted, ties fire in preload order), so the chain
-	// stays sorted by id without insertion search.
-	if s.aliveTail == nil {
-		s.aliveHead, s.aliveTail = w, w
-	} else {
-		s.aliveTail.next, w.prev = w, s.aliveTail
-		s.aliveTail = w
-	}
-	s.alive++
-	s.capIdx.update(id, w)
+	// Ids arrive in ascending order (pool schedules are time-sorted, ties
+	// fire in preload order), so join order is id order.
+	s.pool.Join(&w.Worker)
 	s.futureArrivals--
-	if s.alive > s.peakWorkers {
-		s.peakWorkers = s.alive
-	}
+	s.peakWorkers = max(s.peakWorkers, s.pool.Len())
 	if lt := s.arrivals[id].Lifetime; lt > 0 {
 		s.engine.ScheduleAfter(lt, evEviction, devent.Payload{A: id})
 	}
@@ -372,40 +319,18 @@ func (s *simulator) onArrival(id int) {
 
 func (s *simulator) onEviction(id int) {
 	w := s.byID[id]
-	if s.err != nil || w == nil || !w.alive {
+	if s.err != nil || w == nil || !w.Alive() {
 		return
 	}
-	w.alive = false
 	s.byID[id] = nil
-	// Unlink from the alive chain: the scan set shrinks instead of
-	// accumulating tombstones that every placement probe would skip.
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else {
-		s.aliveHead = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else {
-		s.aliveTail = w.prev
-	}
-	w.prev, w.next = nil, nil
-	s.alive--
-	s.capIdx.update(id, nil)
 	s.evictions++
 	if s.cfg.Data != nil {
-		s.cfg.Data.DropWorker(w.id)
+		s.cfg.Data.DropWorker(w.ID)
 	}
 	now := s.engine.Now()
-	// Iterate the victims in task order: map iteration order would make
-	// the requeue order — and hence the whole run — nondeterministic.
-	victims := s.victims[:0]
-	for idx := range w.running {
-		victims = append(victims, idx)
-	}
-	sort.Ints(victims)
-	for _, idx := range victims {
-		rt := w.running[idx]
+	// The victims requeue as one ascending block at the queue front — the
+	// same recovery the live wq engine runs.
+	s.victims = dispatch.Evict(&s.pool, &s.ready, &w.Worker, w.running, s.victims, func(idx int, rt runningTask) bool {
 		s.engine.Cancel(rt.endEv)
 		st := s.store.get(idx)
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
@@ -413,15 +338,9 @@ func (s *simulator) onEviction(id int) {
 			Duration: now - rt.start,
 			Status:   metrics.Evicted,
 		})
-	}
-	// The tasks keep their allocations: eviction says nothing about the
-	// allocation's adequacy. Retries jump the queue as one block, so the
-	// queue front stays in ascending task-ID order — the same recovery
-	// order the live wq engine uses.
-	s.ready.PushFrontAll(victims)
-	s.victims = victims
+		return true
+	})
 	w.running = nil // the worker is dead; release its attempt map
-	w.used = resources.Vector{}
 	s.dispatch()
 }
 
@@ -488,116 +407,96 @@ func (s *simulator) emit() {
 
 // dispatch greedily places ready tasks onto alive workers, in queue order,
 // skipping tasks that fit no worker right now (Work Queue-style in-manager
-// backfilling avoids head-of-line blocking).
+// backfilling avoids head-of-line blocking). The shared scan bounds the
+// backfilling depth (dispatch.MissBound).
 func (s *simulator) dispatch() {
 	if s.err != nil {
 		return
 	}
 	s.generate()
-	// Bound the backfilling depth: after this many consecutive placement
-	// failures the pool is effectively full for this batch's allocation
-	// sizes and the rest of the queue is left for the next event (real
-	// managers bound their dispatch scans the same way).
-	const maxConsecutiveMisses = 256
-	misses := 0
-	// The scan compacts the ring in place: unplaced indices slide down to
-	// position `kept` as the read cursor advances, preserving queue order
-	// without rebuilding a `remaining` slice per dispatch pass.
-	n := s.ready.Len()
-	kept, scanned := 0, 0
-	for ; scanned < n; scanned++ {
-		if misses >= maxConsecutiveMisses {
-			break
-		}
-		idx := s.ready.At(scanned)
-		st := s.store.get(idx)
-		// Allocation happens at dispatch time (Section II-A): a first
-		// attempt gets a fresh prediction every time placement is tried,
-		// so a task that waited in the queue benefits from everything the
-		// allocator learned meanwhile. Retries keep their escalated
-		// allocation (hasAlloc is set on the retry path).
-		alloc := st.alloc
-		if !st.hasAlloc {
-			alloc = s.cfg.Policy.Allocate(st.task.Category, st.task.ID)
-		}
-		if w := s.pickWorker(alloc, st.task.ID); w != nil {
-			st.alloc = alloc
-			st.hasAlloc = true
-			s.place(w, idx)
-			misses = 0
-		} else {
-			s.ready.Set(kept, idx)
-			kept++
-			misses++
-		}
-	}
-	// Slide any unscanned tail (miss-bound bailout) down behind the kept
-	// prefix, keeping the original relative order.
-	for ; scanned < n; scanned++ {
-		s.ready.Set(kept, s.ready.At(scanned))
-		kept++
-	}
-	s.ready.Truncate(kept)
-	if s.alive == 0 && s.futureArrivals == 0 && (s.ready.Len() > 0 || !s.drained) {
+	s.pool.Scan(&s.ready, s.tryPlace)
+	if s.pool.Len() == 0 && s.futureArrivals == 0 && (s.ready.Len() > 0 || !s.drained) {
 		s.fail(fmt.Errorf("sim: %d tasks stranded with no workers left", s.ready.Len()))
 	}
+}
+
+// tryPlace offers the queued task idx to the pool and reports whether it
+// was placed.
+func (s *simulator) tryPlace(idx int) bool {
+	st := s.store.get(idx)
+	// Allocation happens at dispatch time (Section II-A): a first attempt
+	// gets a fresh prediction every time placement is tried, so a task that
+	// waited in the queue benefits from everything the allocator learned
+	// meanwhile. Retries keep their escalated allocation (hasAlloc is set on
+	// the retry path).
+	alloc := st.alloc
+	if !st.hasAlloc {
+		alloc = s.cfg.Policy.Allocate(st.task.Category, st.task.ID)
+	}
+	w := s.pickWorker(alloc, st.task.ID)
+	if w == nil {
+		return false
+	}
+	st.alloc = alloc
+	st.hasAlloc = true
+	s.place(w, idx)
+	return true
 }
 
 // pickWorker routes a placement probe to the capacity index (first/worst/
 // best fit, O(log W)) or, for Locality, to a scan of the alive chain in
 // arrival order.
 func (s *simulator) pickWorker(alloc resources.Vector, taskID int) *simWorker {
+	var chosen *dispatch.Worker
 	switch s.cfg.Place {
 	case FirstFit:
-		return s.capIdx.firstFit(alloc)
+		chosen = s.pool.FirstFit(alloc)
 	case WorstFit:
-		return s.capIdx.worstFit(alloc)
+		chosen = s.pool.WorstFit(alloc)
 	case BestFit:
-		return s.capIdx.bestFit(alloc)
+		chosen = s.pool.BestFit(alloc)
 	case Locality:
-		var chosen *simWorker
 		var chosenScore float64
-		for w := s.aliveHead; w != nil; w = w.next {
-			if !w.fits(alloc) {
+		for w := s.pool.Front(); w != nil; w = w.Next() {
+			if !w.Fits(alloc) {
 				continue
 			}
 			score := 0.0
 			if s.cfg.Data != nil {
-				score = s.cfg.Data.CachedMB(w.id, taskID)
+				score = s.cfg.Data.CachedMB(w.ID, taskID)
 			}
 			if chosen == nil || score > chosenScore {
 				chosen, chosenScore = w, score
 			}
 		}
-		return chosen
-	default:
+	}
+	if chosen == nil {
 		return nil
 	}
+	return s.byID[chosen.ID]
 }
 
 func (s *simulator) place(w *simWorker, idx int) {
 	st := s.store.get(idx)
-	w.used = w.used.Add(st.alloc.With(resources.Time, 0))
-	for _, k := range [...]resources.Kind{resources.Cores, resources.Memory, resources.Disk} {
-		if w.used.Get(k) > w.limit.Get(k) {
-			s.fail(fmt.Errorf("sim: worker %d over-packed on %s: %v > %v",
-				w.id, k, w.used.Get(k), w.capacity.Get(k)))
-			return
-		}
+	s.pool.Hold(&w.Worker, st.alloc)
+	// Fits(zero) is used <= limit: the exact negation of over-packing under
+	// the same slack admission used.
+	if !w.Fits(resources.Vector{}) {
+		s.fail(fmt.Errorf("sim: worker %d over-packed: %v > %v", w.ID, w.Used(), w.Capacity))
+		return
 	}
-	s.capIdx.update(w.id, w)
 	now := s.engine.Now()
 	duration, exceeded := EvaluateAttempt(s.cfg.Model, st.task.Consumption, st.task.Runtime(), st.alloc)
 	if s.cfg.Data != nil {
 		// Staging a task's missing inputs holds the allocation before the
 		// payload starts; the transfer time extends the attempt.
-		duration += s.cfg.Data.Stage(w.id, st.task.ID)
+		duration += s.cfg.Data.Stage(w.ID, st.task.ID)
 	}
 	w.running[idx] = runningTask{
 		start:    now,
 		exceeded: exceeded,
 		endEv: s.engine.ScheduleAfter(duration, evTaskEnd,
-			devent.Payload{A: w.id, B: idx, F: duration}),
+			devent.Payload{A: w.ID, B: idx, F: duration}),
 	}
 }
 
@@ -611,14 +510,7 @@ func (s *simulator) onTaskEnd(workerID, idx int, duration float64) {
 	st := s.store.get(idx)
 	exceeded := w.running[idx].exceeded
 	delete(w.running, idx)
-	w.used = w.used.Sub(st.alloc.With(resources.Time, 0))
-	// Guard against float drift accumulating below zero.
-	for k := range w.used {
-		if w.used[k] < 0 && w.used[k] > -1e-6 {
-			w.used[k] = 0
-		}
-	}
-	s.capIdx.update(w.id, w)
+	s.pool.Release(&w.Worker, st.alloc)
 
 	if len(exceeded) == 0 {
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{

@@ -106,18 +106,22 @@ func TestEvictionRequeueDeterministic(t *testing.T) {
 			m.nextTID = 11
 		}
 		m.tasks[9] = &taskState{task: workflow.Task{ID: 9}, hasAlloc: true, outcome: metrics.TaskOutcome{TaskID: 9}}
-		m.queue = []int{9} // already waiting before the eviction
-		w := &managedWorker{id: 0, alive: true, running: map[int]resources.Vector{
+		m.queue.PushBack(9) // already waiting before the eviction
+		m.mu.Lock()
+		w := stageWorker(m, resources.PaperWorker())
+		m.mu.Unlock()
+		w.running = map[int]resources.Vector{
 			7: {}, 3: {}, 5: {}, 11: {}, 2: {},
-		}}
+		}
 		m.evict(w)
 		want := []int{2, 3, 5, 7, 11, 9}
-		if len(m.queue) != len(want) {
-			t.Fatalf("queue = %v, want %v", m.queue, want)
+		queue := queueIDs(&m.queue)
+		if len(queue) != len(want) {
+			t.Fatalf("queue = %v, want %v", queue, want)
 		}
 		for i, id := range want {
-			if m.queue[i] != id {
-				t.Fatalf("trial %d: queue = %v, want %v", trial, m.queue, want)
+			if queue[i] != id {
+				t.Fatalf("trial %d: queue = %v, want %v", trial, queue, want)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dynalloc/internal/allocator"
+	"dynalloc/internal/dispatch"
 	"dynalloc/internal/jsonwire"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
@@ -47,15 +48,15 @@ type Manager struct {
 	ln      net.Listener
 	workers map[int]*managedWorker
 	tasks   map[int]*taskState
-	queue   []int // task IDs awaiting placement; retries at the front
+	queue   dispatch.Queue // task IDs awaiting placement; retries at the front
 	nextWID int
 	nextTID int // highest task ID ever registered, on any path
 	closed  bool
 
-	// aliveHead/aliveTail chain connected workers in ascending-ID (= join)
-	// order, so dispatch scans only live workers instead of every ID ever
-	// issued — the scan set shrinks with churn instead of growing with it.
-	aliveHead, aliveTail *managedWorker
+	// pool holds the connected workers in ascending-ID (= join) order with
+	// their capacity index, so dispatch probes only live workers — the scan
+	// set shrinks with churn instead of growing with every ID ever issued.
+	pool dispatch.Pool
 
 	stats     Stats
 	perWorker map[int]*WorkerStats
@@ -96,21 +97,15 @@ type Manager struct {
 	sweepWG   sync.WaitGroup
 }
 
+// managedWorker is one connected worker; all but lastSeen is guarded by m.mu.
 type managedWorker struct {
-	id       int
-	conn     net.Conn
-	out      *frameWriter
-	capacity resources.Vector
-	used     resources.Vector
-	running  map[int]resources.Vector // task ID -> allocation held
-	alive    bool
+	dispatch.Worker
+	conn    net.Conn
+	out     *frameWriter
+	running map[int]resources.Vector // task ID -> allocation held
 	// lastSeen is the UnixNano of the last frame from this worker. Atomic so
 	// the reader goroutine refreshes it per frame without touching any lock.
 	lastSeen atomic.Int64
-
-	// prev/next link the alive-worker chain in ascending-ID order; nil for a
-	// worker that has been evicted (or never joined). Guarded by Manager.mu.
-	prev, next *managedWorker
 }
 
 func (w *managedWorker) send(m Message) error {
@@ -169,21 +164,6 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 	return func(m *Manager) {
 		m.hbInterval = interval
 		m.hbTimeout = timeout
-	}
-}
-
-// WithTaskTimeout is the legacy knob from the per-dispatch watchdog era; it
-// now configures the heartbeat sweeper: the manager pings every worker each
-// d/4, any frame from the worker (pong or result) refreshes its last-seen
-// time, and a worker whose last frame is older than d at a sweep tick is
-// declared lost — so detection lands between d and d+d/4 after the last
-// frame, not per task. Unlike the old watchdog, a healthy worker running a
-// task longer than d is never reaped — only silence kills, and its
-// in-flight tasks requeue through the eviction path.
-func WithTaskTimeout(d time.Duration) Option {
-	return func(m *Manager) {
-		m.hbInterval = d / 4
-		m.hbTimeout = d
 	}
 }
 
@@ -282,7 +262,7 @@ func (m *Manager) serveWorker(conn net.Conn) {
 	var res Message
 	for {
 		if err := mr.next(&res); err != nil {
-			m.noteDecodeError(w.id, err)
+			m.noteDecodeError(w.ID, err)
 			break
 		}
 		w.lastSeen.Store(time.Now().UnixNano())
@@ -311,31 +291,24 @@ func (m *Manager) noteDecodeError(workerID int, err error) {
 }
 
 // addWorkerLocked registers a connected worker under the next worker ID and
-// appends it to the alive chain (IDs are monotonic, so appending keeps the
-// chain in ascending-ID order). Callers hold m.mu.
+// joins it to the pool (IDs are monotonic, so join order is ascending-ID
+// order). Callers hold m.mu.
 func (m *Manager) addWorkerLocked(conn net.Conn, out io.Writer, capacity resources.Vector) *managedWorker {
 	w := &managedWorker{
-		id:       m.nextWID,
-		conn:     conn,
-		out:      newFrameWriter(out),
-		capacity: capacity,
-		running:  make(map[int]resources.Vector),
-		alive:    true,
+		Worker:  dispatch.Worker{ID: m.nextWID, Capacity: capacity},
+		conn:    conn,
+		out:     newFrameWriter(out),
+		running: make(map[int]resources.Vector),
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
 	m.nextWID++
-	m.workers[w.id] = w
-	if m.aliveTail == nil {
-		m.aliveHead, m.aliveTail = w, w
-	} else {
-		m.aliveTail.next, w.prev = w, m.aliveTail
-		m.aliveTail = w
-	}
-	m.perWorker[w.id] = &WorkerStats{ID: w.id, Connected: true}
+	m.workers[w.ID] = w
+	m.pool.Join(&w.Worker)
+	m.perWorker[w.ID] = &WorkerStats{ID: w.ID, Connected: true}
 	if len(m.workers) > m.stats.PeakWorkers {
 		m.stats.PeakWorkers = len(m.workers)
 	}
-	m.traceLocked(Event{Type: EventWorkerJoin, TaskID: -1, WorkerID: w.id})
+	m.traceLocked(Event{Type: EventWorkerJoin, TaskID: -1, WorkerID: w.ID})
 	return w
 }
 
@@ -364,7 +337,7 @@ func (m *Manager) sweep(now time.Time) {
 		if now.UnixNano()-w.lastSeen.Load() > int64(m.hbTimeout) {
 			lost = append(lost, w)
 			m.stats.HeartbeatTimeouts++
-			m.traceLocked(Event{Type: EventHeartbeatTimeout, TaskID: -1, WorkerID: w.id})
+			m.traceLocked(Event{Type: EventHeartbeatTimeout, TaskID: -1, WorkerID: w.ID})
 		} else {
 			live = append(live, w)
 		}
@@ -386,71 +359,48 @@ func (m *Manager) sweep(now time.Time) {
 }
 
 // evict handles a worker disappearing: its in-flight tasks are requeued with
-// their allocations intact (an eviction says nothing about allocation
-// adequacy) and recorded as eviction-lost attempts. Requeue order is
-// ascending task ID so multi-task evictions replay deterministically.
+// their allocations intact and recorded as eviction-lost attempts, through
+// the ascending-ID requeue the simulator shares (dispatch.Evict).
 func (m *Manager) evict(w *managedWorker) {
 	m.mu.Lock()
-	if !w.alive {
+	if !w.Alive() {
 		m.mu.Unlock()
 		return
 	}
-	w.alive = false
-	delete(m.workers, w.id)
-	// Unlink from the alive chain; a worker staged by a test without joining
-	// has nil links and a head that isn't it, so this is a no-op for it.
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else if m.aliveHead == w {
-		m.aliveHead = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else if m.aliveTail == w {
-		m.aliveTail = w.prev
-	}
-	w.prev, w.next = nil, nil
-	ws := m.perWorker[w.id]
+	delete(m.workers, w.ID)
+	ws := m.perWorker[w.ID]
 	if ws != nil {
 		ws.Connected = false
 	}
 	if !m.closed {
 		m.stats.WorkersLost++
-		m.traceLocked(Event{Type: EventWorkerLost, TaskID: -1, WorkerID: w.id,
+		m.traceLocked(Event{Type: EventWorkerLost, TaskID: -1, WorkerID: w.ID,
 			Detail: fmt.Sprintf("in_flight=%d", len(w.running))})
 	}
-	ids := make([]int, 0, len(w.running))
-	for id := range w.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var requeue []int
-	for _, id := range ids {
+	dispatch.Evict(&m.pool, &m.queue, &w.Worker, w.running, nil, func(id int, alloc resources.Vector) bool {
 		st, ok := m.tasks[id]
 		if !ok {
-			continue
+			return false
 		}
 		st.owner = -1 // any later result from w for this task is stale
 		st.outcome.Attempts = append(st.outcome.Attempts, metrics.Attempt{
-			Alloc:  w.running[id],
+			Alloc:  alloc,
 			Status: metrics.Evicted,
 		})
 		m.stats.Evictions++
 		if ws != nil {
 			ws.Evictions++
 		}
-		m.traceLocked(Event{Type: EventEviction, TaskID: id, WorkerID: w.id})
+		m.traceLocked(Event{Type: EventEviction, TaskID: id, WorkerID: w.ID})
 		if m.failIfOverLimitLocked(st) {
-			continue
+			return false
 		}
-		requeue = append(requeue, id)
 		m.stats.Requeues++
 		m.traceLocked(Event{Type: EventRequeue, TaskID: id, WorkerID: -1})
-	}
-	m.queue = append(requeue, m.queue...)
+		return true
+	})
 	m.notePeakQueueLocked()
 	w.running = make(map[int]resources.Vector)
-	w.used = resources.Vector{}
 	m.dispatchLocked()
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -560,7 +510,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 	alloc, wasRunning := w.running[res.TaskID]
 	if wasRunning {
 		delete(w.running, res.TaskID)
-		w.used = w.used.Sub(alloc.With(resources.Time, 0))
+		m.pool.Release(&w.Worker, alloc)
 	}
 	st, ok := m.tasks[res.TaskID]
 	if !ok || st.done {
@@ -572,22 +522,22 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 		m.mu.Unlock()
 		return
 	}
-	if st.owner != w.id {
+	if st.owner != w.ID {
 		// Stale result: the task is live but this worker no longer owns it —
 		// it was evicted and the task requeued (and possibly re-dispatched
 		// elsewhere). Honoring the frame would append a phantom attempt,
 		// escalate through policy.Retry, and requeue a task that may already
 		// be running on another worker — a double dispatch. Drop it.
 		m.stats.StaleResults++
-		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.id, Status: res.Status})
+		m.traceLocked(Event{Type: EventStaleResult, TaskID: res.TaskID, WorkerID: w.ID, Status: res.Status})
 		m.dispatchLocked()
 		m.cond.Broadcast()
 		m.mu.Unlock()
 		return
 	}
 	st.owner = -1
-	ws := m.perWorker[w.id]
-	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.id, Status: res.Status})
+	ws := m.perWorker[w.ID]
+	m.traceLocked(Event{Type: EventResult, TaskID: res.TaskID, WorkerID: w.ID, Status: res.Status})
 
 	switch res.Status {
 	case StatusSuccess:
@@ -643,7 +593,7 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 			m.mu.Lock()
 			if !st.done {
 				st.alloc = next
-				m.queue = append([]int{st.task.ID}, m.queue...)
+				m.queue.PushFront(st.task.ID)
 				m.notePeakQueueLocked()
 				m.stats.Requeues++
 				m.traceLocked(Event{Type: EventRequeue, TaskID: st.task.ID, WorkerID: -1})
@@ -655,63 +605,58 @@ func (m *Manager) processResult(w *managedWorker, res Message) {
 	m.mu.Unlock()
 }
 
-// dispatchLocked places queued tasks onto workers with free capacity. A
-// closed (draining) manager dispatches nothing. Callers hold m.mu.
+// dispatchLocked places queued tasks onto workers with free capacity through
+// the shared dispatch scan. A closed (draining) manager dispatches nothing.
+// Callers hold m.mu.
 func (m *Manager) dispatchLocked() {
 	if m.closed {
 		return
 	}
-	var remaining []int
-	for _, id := range m.queue {
-		st := m.tasks[id]
-		if st == nil || st.done {
-			continue
-		}
-		// Allocation happens at dispatch time: first attempts get a fresh
-		// prediction on every placement try so queued tasks benefit from
-		// records that arrived while they waited; retries keep their
-		// escalated allocation. The policy serializes itself; holding m.mu
-		// here is acceptable because Allocate is cheap relative to the
-		// network round trips it gates.
-		alloc := st.alloc
-		if !st.hasAlloc {
-			alloc = m.policy.Allocate(st.task.Category, st.task.ID)
-		}
-		placed := false
-		for w := m.aliveHead; w != nil; w = w.next {
-			if !fits(w, alloc) {
-				continue
-			}
-			st.alloc = alloc
-			st.hasAlloc = true
-			st.owner = w.id
-			w.used = w.used.Add(st.alloc.With(resources.Time, 0))
-			w.running[id] = st.alloc
-			m.stats.Dispatches++
-			if ws := m.perWorker[w.id]; ws != nil {
-				ws.Dispatched++
-			}
-			m.traceLocked(Event{Type: EventDispatch, TaskID: id, WorkerID: w.id})
-			// Stage the frame; encoding and I/O happen in flushPending after
-			// the caller releases m.mu, so the lock guards only state
-			// transitions. Every path that can stage (Submit, results,
-			// evictions, registration, RunWorkflow) flushes on the way out.
-			m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
-				Type:     MsgTask,
-				TaskID:   st.task.ID,
-				Category: st.task.Category,
-				Alloc:    st.alloc,
-				Peak:     st.task.Consumption,
-				Runtime:  st.task.Runtime(),
-			}})
-			placed = true
-			break
-		}
-		if !placed {
-			remaining = append(remaining, id)
-		}
+	m.pool.Scan(&m.queue, m.tryPlaceLocked)
+}
+
+// tryPlaceLocked offers the queued task id to the pool and reports whether
+// it left the queue: placed, or dropped because it is gone or terminal.
+func (m *Manager) tryPlaceLocked(id int) bool {
+	st := m.tasks[id]
+	if st == nil || st.done {
+		return true
 	}
-	m.queue = remaining
+	// Allocation happens at dispatch time: first attempts get a fresh
+	// prediction on every placement try so queued tasks benefit from records
+	// that arrived while they waited; retries keep their escalated
+	// allocation. The policy serializes itself; holding m.mu here is
+	// acceptable because the miss-bounded scan caps the predictions per pass.
+	alloc := st.alloc
+	if !st.hasAlloc {
+		alloc = m.policy.Allocate(st.task.Category, st.task.ID)
+	}
+	dw := m.pool.FirstFit(alloc)
+	if dw == nil {
+		return false
+	}
+	w := m.workers[dw.ID]
+	st.alloc = alloc
+	st.hasAlloc = true
+	st.owner = w.ID
+	m.pool.Hold(dw, alloc)
+	w.running[id] = alloc
+	m.stats.Dispatches++
+	if ws := m.perWorker[w.ID]; ws != nil {
+		ws.Dispatched++
+	}
+	m.traceLocked(Event{Type: EventDispatch, TaskID: id, WorkerID: w.ID})
+	// Stage the frame: every path that can stage flushes it after releasing
+	// m.mu, so the lock guards only state transitions, never I/O.
+	m.pendingSends = append(m.pendingSends, pendingSend{w: w, msg: Message{
+		Type:     MsgTask,
+		TaskID:   st.task.ID,
+		Category: st.task.Category,
+		Alloc:    alloc,
+		Peak:     st.task.Consumption,
+		Runtime:  st.task.Runtime(),
+	}})
+	return true
 }
 
 // flushPending delivers every frame dispatchLocked has staged since the last
@@ -776,27 +721,6 @@ func (m *Manager) deliver(batch []pendingSend) {
 	}
 }
 
-func fits(w *managedWorker, alloc resources.Vector) bool {
-	for _, k := range resources.AllocatedKinds() {
-		if w.used.Get(k)+alloc.Get(k) > w.capacity.Get(k)*(1+1e-9) {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedWorkers snapshots the alive chain in ascending-ID order. Cost is
-// O(connected workers); workers that ever connected but left cost nothing,
-// which matters under opportunistic churn where the set of IDs ever issued
-// dwarfs the live pool.
-func (m *Manager) sortedWorkers() []*managedWorker {
-	out := make([]*managedWorker, 0, len(m.workers))
-	for w := m.aliveHead; w != nil; w = w.next {
-		out = append(out, w)
-	}
-	return out
-}
-
 // registerTaskLocked registers one task under a collision-free ID drawn from
 // the single monotonic counter and enqueues it. When fresh is true (Submit)
 // the caller's ID is always replaced; otherwise (RunWorkflow) the declared
@@ -825,23 +749,13 @@ func (m *Manager) registerTaskLocked(t workflow.Task, notify chan metrics.TaskOu
 	}, notify: notify, ephemeral: notify != nil}
 	st.outcome.Attempts = st.attemptsBuf[:0]
 	m.tasks[id] = st
-	m.queue = append(m.queue, id)
+	m.queue.PushBack(id)
 	m.notePeakQueueLocked()
 	return st
 }
 
 func (m *Manager) notePeakQueueLocked() {
-	if len(m.queue) > m.stats.PeakQueue {
-		m.stats.PeakQueue = len(m.queue)
-	}
-}
-
-func (m *Manager) inFlightLocked() int {
-	n := 0
-	for _, w := range m.workers {
-		n += len(w.running)
-	}
-	return n
+	m.stats.PeakQueue = max(m.stats.PeakQueue, m.queue.Len())
 }
 
 // sinceStart returns seconds of wall time since the manager was created —
@@ -974,8 +888,8 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	s := m.stats
 	s.ConnectedWorkers = len(m.workers)
-	s.QueueDepth = len(m.queue)
-	s.InFlight = m.inFlightLocked()
+	s.QueueDepth = m.queue.Len()
+	s.InFlight = m.pool.InFlight()
 	s.FlushBatches = m.flushBatches.Load()
 	s.FramesSent = m.framesSent.Load()
 	ids := make([]int, 0, len(m.perWorker))
@@ -1020,12 +934,15 @@ func (m *Manager) Close() {
 		m.mu.Unlock()
 	})
 	m.mu.Lock()
-	for m.inFlightLocked() > 0 && !expired {
+	for m.pool.InFlight() > 0 && !expired {
 		m.cond.Wait()
 	}
 	m.traceLocked(Event{Type: EventDrainEnd, TaskID: -1, WorkerID: -1,
-		Detail: fmt.Sprintf("in_flight=%d", m.inFlightLocked())})
-	workers := m.sortedWorkers()
+		Detail: fmt.Sprintf("in_flight=%d", m.pool.InFlight())})
+	workers := make([]*managedWorker, 0, len(m.workers))
+	for _, w := range m.workers {
+		workers = append(workers, w)
+	}
 	m.mu.Unlock()
 	timer.Stop()
 

@@ -36,8 +36,8 @@ func (p *orderPolicy) Name() string { return "order" }
 // TestRequeueParitySimVsWQ pins the cross-substrate recovery contract: when
 // a worker carrying several tasks is evicted, both the discrete-event
 // simulator and the live wq engine requeue the victims at the queue front
-// in ascending task-ID order. The two engines share nothing but this
-// convention, so each side is driven through its own eviction path and the
+// in ascending task-ID order. Both engines run the same dispatch.Evict
+// requeue; each side is driven through its own eviction path and the
 // recovered orders are compared.
 func TestRequeueParitySimVsWQ(t *testing.T) {
 	// --- simulator substrate -------------------------------------------
@@ -93,9 +93,12 @@ func TestRequeueParitySimVsWQ(t *testing.T) {
 		running[id] = resources.Vector{}
 	}
 	m.nextTID = 3
-	mw := &managedWorker{id: 0, alive: true, running: running}
+	m.mu.Lock()
+	mw := stageWorker(m, resources.PaperWorker())
+	m.mu.Unlock()
+	mw.running = running
 	m.evict(mw)
-	wqOrder := m.queue
+	wqOrder := queueIDs(&m.queue)
 
 	if len(simOrder) != len(wqOrder) {
 		t.Fatalf("recovery lengths differ: sim %v vs wq %v", simOrder, wqOrder)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"dynalloc/internal/dispatch"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
 	"dynalloc/internal/workflow"
@@ -32,6 +33,15 @@ func stageWorker(m *Manager, capacity resources.Vector) *managedWorker {
 	return m.addWorkerLocked(nil, io.Discard, capacity)
 }
 
+// queueIDs snapshots the ready queue, front first.
+func queueIDs(q *dispatch.Queue) []int {
+	out := make([]int, 0, q.Len())
+	for i := 0; i < q.Len(); i++ {
+		out = append(out, q.At(i))
+	}
+	return out
+}
+
 // TestStaleResultFromEvictedWorkerDropped is the regression for the
 // stale-result race: a slow worker is evicted mid-task, the task requeues
 // and re-dispatches to another worker, and then the evicted worker's late
@@ -55,15 +65,15 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	m.dispatchLocked()
 	m.mu.Unlock()
 
-	if st.owner != slow.id {
-		t.Fatalf("task dispatched to worker %d, want %d", st.owner, slow.id)
+	if st.owner != slow.ID {
+		t.Fatalf("task dispatched to worker %d, want %d", st.owner, slow.ID)
 	}
 
 	// The slow worker goes silent and is evicted; the task requeues and
 	// re-dispatches onto the other worker.
 	m.evict(slow)
-	if st.owner != other.id {
-		t.Fatalf("after eviction, owner = %d, want re-dispatch to %d", st.owner, other.id)
+	if st.owner != other.ID {
+		t.Fatalf("after eviction, owner = %d, want re-dispatch to %d", st.owner, other.ID)
 	}
 	if _, running := other.running[id]; !running {
 		t.Fatal("task not running on the surviving worker after requeue")
@@ -84,8 +94,8 @@ func TestStaleResultFromEvictedWorkerDropped(t *testing.T) {
 	if pol.retries != 0 {
 		t.Fatalf("stale result escalated through policy.Retry %d times", pol.retries)
 	}
-	if len(m.queue) != 0 {
-		t.Fatalf("stale result requeued a running task: queue = %v", m.queue)
+	if m.queue.Len() != 0 {
+		t.Fatalf("stale result requeued a running task: queue = %v", queueIDs(&m.queue))
 	}
 
 	// A late success from the evicted worker is just as stale: it must not
@@ -148,7 +158,7 @@ func TestStaleResultTracing(t *testing.T) {
 	if len(stale) != 1 {
 		t.Fatalf("stale-result events = %d, want 1", len(stale))
 	}
-	if stale[0].TaskID != st.task.ID || stale[0].WorkerID != w.id || stale[0].Status != StatusSuccess {
+	if stale[0].TaskID != st.task.ID || stale[0].WorkerID != w.ID || stale[0].Status != StatusSuccess {
 		t.Errorf("stale event = %+v", stale[0])
 	}
 }
@@ -209,8 +219,11 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 	m.mu.Lock()
 	stageWorker(m, oneCore)
 	m.dispatchLocked()
-	queueLen := len(m.queue)
-	alive := m.sortedWorkers()
+	queueLen := m.queue.Len()
+	var alive []*dispatch.Worker
+	for w := m.pool.Front(); w != nil; w = w.Next() {
+		alive = append(alive, w)
+	}
 	m.mu.Unlock()
 	want = append(want, [2]int{1, 5})
 	assertDispatches(t, "late joiner", dispatches, want)
@@ -224,8 +237,8 @@ func TestDispatchOrderAliveWorkers(t *testing.T) {
 		t.Fatalf("alive workers = %d, want %d", len(alive), len(wantAlive))
 	}
 	for i, w := range alive {
-		if w.id != wantAlive[i] {
-			t.Fatalf("alive worker order: got id %d at %d, want %d", w.id, i, wantAlive[i])
+		if w.ID != wantAlive[i] {
+			t.Fatalf("alive worker order: got id %d at %d, want %d", w.ID, i, wantAlive[i])
 		}
 	}
 }
@@ -239,5 +252,44 @@ func assertDispatches(t *testing.T, stage string, got, want [][2]int) {
 		if got[i] != want[i] {
 			t.Fatalf("%s: dispatch %d = %v, want %v (full: %v)", stage, i, got[i], want[i], got)
 		}
+	}
+}
+
+// categoryPolicy hands out a fixed allocation per task category.
+type categoryPolicy map[string]resources.Vector
+
+func (p categoryPolicy) Allocate(cat string, _ int) resources.Vector { return p[cat] }
+func (p categoryPolicy) Retry(cat string, _ int, _ resources.Vector, _ []resources.Kind) resources.Vector {
+	return p[cat]
+}
+func (p categoryPolicy) Observe(string, int, resources.Vector, float64) {}
+func (p categoryPolicy) Name() string                                   { return "category" }
+
+// TestDispatchReachesTaskBehindBacklog is the starvation guard for the
+// miss-bounded scan: more than dispatch.MissBound tasks that fit no worker
+// sit ahead of one that does, and nothing is in flight. No completion will
+// ever trigger another pass, so this pass must reach the small task.
+func TestDispatchReachesTaskBehindBacklog(t *testing.T) {
+	m := NewManager(categoryPolicy{
+		"big":   resources.New(2, 100, 100, resources.Unlimited),
+		"small": resources.New(1, 100, 100, resources.Unlimited),
+	})
+	oneCore := resources.New(1, 1024, 1024, resources.Unlimited)
+
+	m.mu.Lock()
+	stageWorker(m, oneCore)
+	stageWorker(m, oneCore)
+	for i := 0; i < 300; i++ {
+		m.registerTaskLocked(workflow.Task{Category: "big", Consumption: resources.New(2, 50, 50, 5)}, nil, true)
+	}
+	small := m.registerTaskLocked(workflow.Task{Category: "small", Consumption: resources.New(1, 50, 50, 5)}, nil, true)
+	m.dispatchLocked()
+	m.mu.Unlock()
+
+	if small.owner < 0 {
+		t.Fatal("small task behind 300 unplaceable ones was never dispatched")
+	}
+	if s := m.Stats(); s.Dispatches != 1 || s.QueueDepth != 300 || s.InFlight != 1 {
+		t.Errorf("dispatches=%d queue=%d in-flight=%d, want 1/300/1", s.Dispatches, s.QueueDepth, s.InFlight)
 	}
 }

@@ -42,7 +42,7 @@ func TestTaskTimeoutReapsHungWorker(t *testing.T) {
 	defer cancel()
 
 	w := quickWorkflow(12, 7)
-	m := NewManager(sim.NewOracle(w), WithTaskTimeout(500*time.Millisecond))
+	m := NewManager(sim.NewOracle(w), WithHeartbeat(125*time.Millisecond, 500*time.Millisecond))
 	addr, err := m.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +169,6 @@ func TestHeartbeatOptions(t *testing.T) {
 	m := NewManager(nil)
 	if m.hbInterval != 0 {
 		t.Error("heartbeats should be disabled by default")
-	}
-	m2 := NewManager(nil, WithTaskTimeout(time.Second))
-	if m2.hbTimeout != time.Second || m2.hbInterval != 250*time.Millisecond {
-		t.Errorf("WithTaskTimeout mapping: interval=%v timeout=%v", m2.hbInterval, m2.hbTimeout)
 	}
 	m3 := NewManager(nil, WithHeartbeat(100*time.Millisecond, 0))
 	if m3.hbTimeout != 400*time.Millisecond {
