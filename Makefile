@@ -50,7 +50,7 @@ BENCH_WQ_PATTERN = 'BenchmarkWQ'
 # smoke iterations. Past this the wire hot path started allocating again.
 WQ_MAX_ALLOCS = 8
 
-.PHONY: all build test race test-live vet bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke short ci clean
+.PHONY: all build test race test-live vet fmt-check bench bench-smoke bench-alloc bench-alloc-smoke bench-stream bench-stream-smoke serve-bench serve-bench-smoke wq-bench wq-bench-smoke whatif-smoke short ci clean
 
 all: build
 
@@ -75,6 +75,10 @@ test-live:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 short:
 	$(GO) test ./... -short -count=1
@@ -153,7 +157,7 @@ whatif-smoke:
 		-des -pool churn:8:600:120:2000 -log "$$tmp/rec.jsonl" >/dev/null 2>&1 && \
 	$(GO) run ./cmd/whatif -fidelity -algorithms greedy-bucketing,max-seen -j 2 "$$tmp/rec.jsonl"
 
-ci: vet build test race test-live whatif-smoke bench-smoke bench-alloc-smoke bench-stream-smoke serve-bench-smoke wq-bench-smoke
+ci: fmt-check vet build test race test-live whatif-smoke bench-smoke bench-alloc-smoke bench-stream-smoke serve-bench-smoke wq-bench-smoke
 
 clean:
 	rm -rf figures-out

@@ -257,6 +257,40 @@ func (a *Allocator) Allocate(category string, taskID int) resources.Vector {
 	return alloc
 }
 
+// Floor returns, kind by kind, a lower bound on any allocation Allocate could
+// return for category in the allocator's current state (after the clamp and
+// the exploration fallback), and the exact number of random draws one
+// Allocate call makes. It draws nothing. A dispatcher that finds no worker
+// with room for the floor can count the task as unplaceable without
+// predicting, and keep the stream reproducible by passing the draws it
+// skipped to Skip.
+func (a *Allocator) Floor(category string) (resources.Vector, int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	cs := a.category(category)
+	floor := resources.New(0, 0, 0, resources.Unlimited)
+	draws := 0
+	for _, k := range a.kinds {
+		// clamp is non-decreasing over positive values and maps the rest to
+		// the exploration value the fallback already stands for, so the
+		// clamped bound bounds every clamped prediction.
+		v, d := cs.est[k].Floor(a.cfg.Exploration.Get(k))
+		floor = floor.With(k, a.clamp(k, v))
+		draws += d
+	}
+	return floor, draws
+}
+
+// Skip advances the random stream by draws draws, leaving it where the
+// Allocate calls whose draws Floor counted would have left it.
+func (a *Allocator) Skip(draws int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for range draws {
+		a.rng.Uint64()
+	}
+}
+
 // Retry implements Policy: exhausted kinds escalate through the kind's
 // estimator; all other kinds keep their previous allocation.
 func (a *Allocator) Retry(category string, taskID int, prev resources.Vector, exceeded []resources.Kind) resources.Vector {

@@ -21,6 +21,8 @@ func newBucketing(alg core.Algorithm) *bucketing {
 
 func (b *bucketing) Predict(r *rand.Rand) float64 { return b.state.Predict(r) }
 
+func (b *bucketing) Floor(fallback float64) (float64, int) { return b.state.Floor(fallback) }
+
 func (b *bucketing) Retry(prev float64, r *rand.Rand) float64 { return b.state.Retry(prev, r) }
 
 func (b *bucketing) Observe(rec record.Record) { b.state.Add(rec) }

@@ -8,6 +8,7 @@
 package allocator
 
 import (
+	"math"
 	"math/rand/v2"
 
 	"dynalloc/internal/record"
@@ -25,6 +26,11 @@ type Estimator interface {
 	// of prev for this kind. Implementations must return a value strictly
 	// greater than prev so escalation always terminates.
 	Retry(prev float64, r *rand.Rand) float64
+	// Floor returns a lower bound on what Predict can return now, counting
+	// a non-positive return as fallback, and the exact number of random
+	// draws one Predict call makes. Floor draws nothing and changes no
+	// prediction.
+	Floor(fallback float64) (lo float64, draws int)
 	// Observe records the peak consumption of a completed task.
 	Observe(rec record.Record)
 	// Len reports how many records have been observed.
@@ -54,6 +60,13 @@ func (e *explorer) Predict(r *rand.Rand) float64 {
 	return e.initial
 }
 
+func (e *explorer) Floor(float64) (float64, int) {
+	if e.exploring() {
+		return e.initial, 0
+	}
+	return e.inner.Floor(e.initial)
+}
+
 func (e *explorer) Retry(prev float64, r *rand.Rand) float64 {
 	if e.exploring() {
 		if prev <= 0 {
@@ -67,3 +80,24 @@ func (e *explorer) Retry(prev float64, r *rand.Rand) float64 {
 func (e *explorer) Observe(rec record.Record) { e.inner.Observe(rec) }
 
 func (e *explorer) Len() int { return e.inner.Len() }
+
+// orFallback is v, or fallback when v is not positive.
+func orFallback(v, fallback float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return fallback
+}
+
+// minRep returns the smallest of reps, each counted through orFallback, or
+// +Inf when reps is empty. NaN representatives are passed over: they never
+// fit a worker, so they cannot weaken a lower bound used for placement.
+func minRep(reps []float64, fallback float64) float64 {
+	lo := math.Inf(1)
+	for _, r := range reps {
+		if v := orFallback(r, fallback); v < lo {
+			lo = v
+		}
+	}
+	return lo
+}

@@ -136,6 +136,22 @@ func (km *kmeans) Predict(r *rand.Rand) float64 {
 	return sampleReps(reps, weights, -math.Inf(1), r)
 }
 
+// Floor mirrors sampleReps with no floor: one draw over a positive weight,
+// otherwise a 0 prediction and no draw.
+func (km *kmeans) Floor(fallback float64) (float64, int) {
+	reps, weights := km.clusters()
+	total := 0.0
+	for i, rep := range reps {
+		if rep > math.Inf(-1) {
+			total += weights[i]
+		}
+	}
+	if total <= 0 {
+		return fallback, 0
+	}
+	return minRep(reps, fallback), 1
+}
+
 func (km *kmeans) Retry(prev float64, r *rand.Rand) float64 {
 	reps, _ := km.clusters()
 	any := false
@@ -211,6 +227,10 @@ func (p *percentile) Predict(*rand.Rand) float64 {
 		idx = n - 1
 	}
 	return p.recs.Value(idx)
+}
+
+func (p *percentile) Floor(fallback float64) (float64, int) {
+	return orFallback(p.Predict(nil), fallback), 0
 }
 
 func (p *percentile) Retry(prev float64, _ *rand.Rand) float64 {

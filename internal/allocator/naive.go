@@ -16,6 +16,8 @@ type wholeMachine struct {
 
 func (w *wholeMachine) Predict(*rand.Rand) float64 { return w.capacity }
 
+func (w *wholeMachine) Floor(float64) (float64, int) { return w.capacity, 0 }
+
 func (w *wholeMachine) Retry(prev float64, _ *rand.Rand) float64 {
 	// A task can only exhaust a whole machine if its consumption exceeds
 	// worker capacity; doubling keeps the contract that Retry increases.
@@ -44,6 +46,10 @@ func (m *maxSeen) Predict(*rand.Rand) float64 {
 		return 0
 	}
 	return quantize(m.max, m.quantum)
+}
+
+func (m *maxSeen) Floor(fallback float64) (float64, int) {
+	return orFallback(m.Predict(nil), fallback), 0
 }
 
 func (m *maxSeen) Retry(prev float64, _ *rand.Rand) float64 {

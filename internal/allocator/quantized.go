@@ -15,6 +15,11 @@ import (
 type quantized struct {
 	recs      record.List
 	quantiles []float64 // ascending, exclusive of 0 and 1
+	// The buckets are a function of the record list alone; cache them until
+	// the next observation, reusing their storage.
+	cachedAt      int
+	cachedReps    []float64
+	cachedWeights []float64
 }
 
 func newQuantized(quantiles []float64) *quantized {
@@ -25,12 +30,17 @@ func newQuantized(quantiles []float64) *quantized {
 }
 
 // reps returns the representative value and record-count weight of each
-// quantile bucket.
+// quantile bucket. The slices are owned by q and valid until the next
+// Observe.
 func (q *quantized) reps() (reps []float64, weights []float64) {
 	n := q.recs.Len()
 	if n == 0 {
 		return nil, nil
 	}
+	if q.cachedAt == n {
+		return q.cachedReps, q.cachedWeights
+	}
+	reps, weights = q.cachedReps[:0], q.cachedWeights[:0]
 	prev := -1
 	for _, p := range q.quantiles {
 		idx := int(p*float64(n)) - 1
@@ -49,6 +59,7 @@ func (q *quantized) reps() (reps []float64, weights []float64) {
 	}
 	reps = append(reps, q.recs.Value(n-1))
 	weights = append(weights, float64(n-1-prev))
+	q.cachedAt, q.cachedReps, q.cachedWeights = n, reps, weights
 	return reps, weights
 }
 
@@ -69,6 +80,14 @@ func (q *quantized) Predict(r *rand.Rand) float64 {
 		}
 	}
 	return reps[len(reps)-1]
+}
+
+func (q *quantized) Floor(fallback float64) (float64, int) {
+	reps, _ := q.reps()
+	if len(reps) == 0 {
+		return fallback, 0
+	}
+	return minRep(reps, fallback), 1
 }
 
 func (q *quantized) Retry(prev float64, r *rand.Rand) float64 {

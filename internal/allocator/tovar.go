@@ -65,6 +65,10 @@ func (mw *minWaste) Predict(*rand.Rand) float64 {
 	return bestA
 }
 
+func (mw *minWaste) Floor(fallback float64) (float64, int) {
+	return orFallback(mw.Predict(nil), fallback), 0
+}
+
 func (mw *minWaste) Retry(prev float64, _ *rand.Rand) float64 {
 	return tovarRetry(&mw.recs, prev)
 }
@@ -112,6 +116,10 @@ func (mt *maxThroughput) Predict(*rand.Rand) float64 {
 	}
 	mt.cachedAt, mt.cached = n, bestA
 	return bestA
+}
+
+func (mt *maxThroughput) Floor(fallback float64) (float64, int) {
+	return orFallback(mt.Predict(nil), fallback), 0
 }
 
 func (mt *maxThroughput) Retry(prev float64, _ *rand.Rand) float64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 type Stats struct {
 	Recomputes    int           // number of bucket recomputations performed
 	RecomputeTime time.Duration // cumulative wall time spent recomputing
-	Predictions   int           // number of Predict/Retry calls served
+	Predictions   int           // number of Predict/Retry calls served (Floor is not one)
 	LastBuckets   int           // bucket count after the latest recomputation
 	MaxBuckets    int           // largest bucket count ever observed
 }
@@ -97,6 +98,33 @@ func (s *State) Predict(r *rand.Rand) float64 {
 		return 0
 	}
 	return bs[sampleBucketCum(bs, s.cum, 0, r)].Rep
+}
+
+// Floor returns the smallest value Predict can return now, counting a
+// non-positive representative (and the empty bucket set's 0) as fallback,
+// and the number of random draws one Predict call makes. It recomputes a
+// stale bucket set the way Predict would, draws nothing, and is not counted
+// in Stats.Predictions.
+func (s *State) Floor(fallback float64) (lo float64, draws int) {
+	bs := s.Buckets()
+	if len(bs) == 0 {
+		return fallback, 0
+	}
+	lo = math.Inf(1)
+	for _, b := range bs {
+		v := b.Rep
+		if v <= 0 {
+			v = fallback
+		}
+		if v < lo { // not min(): a NaN representative never fits a worker
+			lo = v
+		}
+	}
+	// pickBucket draws only over a positive probability mass.
+	if s.cum[len(s.cum)-1] <= 0 {
+		return lo, 0
+	}
+	return lo, 1
 }
 
 // Retry returns the allocation for a task that exhausted a previous

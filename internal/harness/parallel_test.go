@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,9 +242,14 @@ func TestTable1ContextCanceled(t *testing.T) {
 // BenchmarkRunGrid measures the sequential-driver grid at several
 // parallelism levels; on a multi-core machine -j 4 should be at least 2x
 // faster than -j 1 (cells are embarrassingly parallel and share nothing
-// but read-only workflows).
+// but read-only workflows). GOMAXPROCS joins the levels only when it is not
+// already one of them, so no level is measured twice.
 func BenchmarkRunGrid(b *testing.B) {
-	for _, j := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+	levels := []int{1, 2, 4}
+	if p := runtime.GOMAXPROCS(0); !slices.Contains(levels, p) {
+		levels = append(levels, p)
+	}
+	for _, j := range levels {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			opts := Options{Seed: 42, Tasks: 200,
 				Workloads: workflow.SyntheticNames(), Parallelism: j}

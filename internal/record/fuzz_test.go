@@ -11,11 +11,16 @@ import (
 // view, and the partial prefix-sum recompute — against the obvious oracle: a
 // stable sort of all records from scratch plus freshly summed prefixes.
 // The fuzzer drives random Add/query interleavings, including duplicate
-// values (stability) and monotone runs (the append fast path).
+// values (stability), monotone runs (the append fast path) and single-record
+// batches (the insertion path).
 func FuzzRecordListMergeMatchesResort(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 4, 5, 0, 6}, uint8(3))
 	f.Add([]byte{9, 9, 9, 9, 0, 1, 1, 0, 255, 0}, uint8(1))
 	f.Add([]byte{0, 0, 0}, uint8(7))
+	// Batches of one (a query after every Add): single-record insertion at
+	// the front, between ties, in the middle, and past the maximum.
+	f.Add([]byte{5, 3, 8, 3, 1, 9, 3, 21, 6, 17}, uint8(0))
+	f.Add([]byte{7, 0, 2, 0, 7, 0, 4, 0, 23, 0, 1}, uint8(4))
 	f.Fuzz(func(t *testing.T, vals []byte, mod uint8) {
 		l := &List{}
 		var oracle []Record

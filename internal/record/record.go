@@ -64,10 +64,16 @@ func (l *List) Len() int { return len(l.recs) }
 // modified.
 func (l *List) All() []Record { return l.recs }
 
+// rebuild brings the sorted view up to date. It is small enough to inline
+// into the accessors, which the sweeps call once per record.
 func (l *List) rebuild() {
-	if !l.dirty && l.sorted != nil {
-		return
+	if l.dirty || l.sorted == nil {
+		l.merge()
 	}
+}
+
+// merge folds the pending batch into the sorted view and its prefix sums.
+func (l *List) merge() {
 	// Sort the pending batch (stable, preserving insertion order among
 	// equal values) and merge it with the already-sorted view.
 	sort.SliceStable(l.pending, func(i, j int) bool {
@@ -89,6 +95,16 @@ func (l *List) rebuild() {
 		// (On ties the merge below would also keep the older records first,
 		// so appending matches it exactly.)
 		l.sorted = append(l.sorted, l.pending...)
+	case len(l.pending) == 1:
+		// One record, the common case when every completion is followed by
+		// a query: insert it before the first record the merge would not
+		// keep ahead of it (the first not <= its value) with one block move.
+		r := l.pending[0]
+		i := sort.Search(len(l.sorted), func(i int) bool { return !(l.sorted[i].Value <= r.Value) })
+		l.sorted = append(l.sorted, Record{})
+		copy(l.sorted[i+1:], l.sorted[i:])
+		l.sorted[i] = r
+		firstChanged = i
 	default:
 		// Merge into the retired buffer of the previous rebuild rather than
 		// a fresh slice; the two views ping-pong so the steady state is

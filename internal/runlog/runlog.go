@@ -178,8 +178,8 @@ type TaskRecord struct {
 type WorkerRecord struct {
 	Kind      string  `json:"kind"` // always "worker"
 	ID        int     `json:"worker_id"`
-	AtS       float64 `json:"at_s"`                  // join time
-	LifetimeS float64 `json:"lifetime_s,omitempty"`  // seconds until eviction; <= 0 means never evicted
+	AtS       float64 `json:"at_s"`                 // join time
+	LifetimeS float64 `json:"lifetime_s,omitempty"` // seconds until eviction; <= 0 means never evicted
 }
 
 // Footer carries the run summary.

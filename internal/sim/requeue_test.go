@@ -20,6 +20,7 @@ func TestEvictionRequeueAscendingBlock(t *testing.T) {
 		Workflow: &workflow.Workflow{},
 		Policy:   stubbornPolicy{},
 	}.withDefaults()}
+	s.gate = dispatch.NewGate(&s.pool, s.cfg.Policy)
 	s.src = (&workflow.Workflow{}).Stream()
 	s.drained = true // nothing left to generate; the 12 tasks below are the window
 	for i := 0; i < 12; i++ {

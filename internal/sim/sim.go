@@ -172,6 +172,8 @@ type simulator struct {
 	// pool holds the alive workers in arrival (ascending-id) order with
 	// their capacity index; the Locality placement scans its chain.
 	pool dispatch.Pool
+	// gate predicts first attempts, skipping those no worker could take.
+	gate *dispatch.Gate
 	// byID resolves the worker id carried in event payloads; evicted slots
 	// are nilled so the worker can be collected.
 	byID    []*simWorker
@@ -221,6 +223,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: Workflow (or Source) and Policy are required")
 	}
 	s := &simulator{cfg: cfg, src: src}
+	s.gate = dispatch.NewGate(&s.pool, cfg.Policy)
 	s.window = src.SubmitWindow()
 	s.retain = cfg.OnOutcome == nil && !cfg.DiscardOutcomes
 	s.acc.IncludeEvictions = cfg.IncludeEvictions
@@ -414,7 +417,7 @@ func (s *simulator) dispatch() {
 		return
 	}
 	s.generate()
-	s.pool.Scan(&s.ready, s.tryPlace)
+	s.gate.Pass(&s.ready, s.tryPlace)
 	if s.pool.Len() == 0 && s.futureArrivals == 0 && (s.ready.Len() > 0 || !s.drained) {
 		s.fail(fmt.Errorf("sim: %d tasks stranded with no workers left", s.ready.Len()))
 	}
@@ -428,10 +431,13 @@ func (s *simulator) tryPlace(idx int) bool {
 	// gets a fresh prediction every time placement is tried, so a task that
 	// waited in the queue benefits from everything the allocator learned
 	// meanwhile. Retries keep their escalated allocation (hasAlloc is set on
-	// the retry path).
+	// the retry path). The gate skips predictions no worker could take.
 	alloc := st.alloc
 	if !st.hasAlloc {
-		alloc = s.cfg.Policy.Allocate(st.task.Category, st.task.ID)
+		var ok bool
+		if alloc, ok = s.gate.Allocate(st.task.Category, st.task.ID); !ok {
+			return false
+		}
 	}
 	w := s.pickWorker(alloc, st.task.ID)
 	if w == nil {

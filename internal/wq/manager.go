@@ -57,6 +57,8 @@ type Manager struct {
 	// their capacity index, so dispatch probes only live workers — the scan
 	// set shrinks with churn instead of growing with every ID ever issued.
 	pool dispatch.Pool
+	// gate predicts first attempts, skipping those no worker could take.
+	gate *dispatch.Gate
 
 	stats     Stats
 	perWorker map[int]*WorkerStats
@@ -199,6 +201,7 @@ func NewManager(policy allocator.Policy, opts ...Option) *Manager {
 		sweepDone:    make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
+	m.gate = dispatch.NewGate(&m.pool, policy)
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -612,7 +615,7 @@ func (m *Manager) dispatchLocked() {
 	if m.closed {
 		return
 	}
-	m.pool.Scan(&m.queue, m.tryPlaceLocked)
+	m.gate.Pass(&m.queue, m.tryPlaceLocked)
 }
 
 // tryPlaceLocked offers the queued task id to the pool and reports whether
@@ -626,10 +629,14 @@ func (m *Manager) tryPlaceLocked(id int) bool {
 	// prediction on every placement try so queued tasks benefit from records
 	// that arrived while they waited; retries keep their escalated
 	// allocation. The policy serializes itself; holding m.mu here is
-	// acceptable because the miss-bounded scan caps the predictions per pass.
+	// acceptable because the miss-bounded scan caps the predictions per pass,
+	// and the gate skips those no worker could take.
 	alloc := st.alloc
 	if !st.hasAlloc {
-		alloc = m.policy.Allocate(st.task.Category, st.task.ID)
+		var ok bool
+		if alloc, ok = m.gate.Allocate(st.task.Category, st.task.ID); !ok {
+			return false
+		}
 	}
 	dw := m.pool.FirstFit(alloc)
 	if dw == nil {

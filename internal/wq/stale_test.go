@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"dynalloc/internal/allocator"
 	"dynalloc/internal/dispatch"
 	"dynalloc/internal/metrics"
 	"dynalloc/internal/resources"
@@ -291,5 +292,59 @@ func TestDispatchReachesTaskBehindBacklog(t *testing.T) {
 	}
 	if s := m.Stats(); s.Dispatches != 1 || s.QueueDepth != 300 || s.InFlight != 1 {
 		t.Errorf("dispatches=%d queue=%d in-flight=%d, want 1/300/1", s.Dispatches, s.QueueDepth, s.InFlight)
+	}
+}
+
+// flooredAllocator counts the real predictions and skipped draws of an
+// allocator whose floor extension the manager's dispatch gate uses.
+type flooredAllocator struct {
+	*allocator.Allocator
+	allocates, skipped int
+}
+
+func (f *flooredAllocator) Allocate(category string, taskID int) resources.Vector {
+	f.allocates++
+	return f.Allocator.Allocate(category, taskID)
+}
+
+func (f *flooredAllocator) Skip(draws int) {
+	f.skipped += draws
+	f.Allocator.Skip(draws)
+}
+
+// TestGatedPassPredictsOnlyPlaceableTasks: with the floor extension, tasks
+// no worker could take cost no prediction, only their skipped draws. A
+// backlog of "big" tasks sits ahead of two "small" ones on two one-core
+// workers; the first pass predicts only the two small tasks, and the next
+// pass, with the pool full, predicts nothing.
+func TestGatedPassPredictsOnlyPlaceableTasks(t *testing.T) {
+	a := allocator.MustNew(allocator.Greedy, allocator.Config{Seed: 5})
+	for id := 0; id < 10; id++ { // leave exploration: one 2-core bucket per kind
+		a.Observe("big", id, resources.New(2, 50, 50, 5), 5)
+	}
+	pol := &flooredAllocator{Allocator: a}
+	m := NewManager(pol)
+	oneCore := resources.New(1, 1024, 1024, resources.Unlimited)
+	const bigDraws = 3 // one bucket draw per allocated kind
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	stageWorker(m, oneCore)
+	stageWorker(m, oneCore)
+	for i := 0; i < 300; i++ {
+		m.registerTaskLocked(workflow.Task{Category: "big", Consumption: resources.New(2, 50, 50, 5)}, nil, true)
+	}
+	for i := 0; i < 2; i++ {
+		m.registerTaskLocked(workflow.Task{Category: "small", Consumption: resources.New(1, 50, 50, 5)}, nil, true)
+	}
+	m.dispatchLocked()
+	if pol.allocates != 2 || pol.skipped != 300*bigDraws || m.stats.Dispatches != 2 {
+		t.Fatalf("first pass: %d predictions, %d skipped draws, %d dispatches; want 2, %d, 2",
+			pol.allocates, pol.skipped, m.stats.Dispatches, 300*bigDraws)
+	}
+	m.dispatchLocked()
+	if pol.allocates != 2 || pol.skipped != (300+dispatch.MissBound)*bigDraws {
+		t.Fatalf("full pool: %d predictions, %d skipped draws; want 2, %d",
+			pol.allocates, pol.skipped, (300+dispatch.MissBound)*bigDraws)
 	}
 }
